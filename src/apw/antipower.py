@@ -12,11 +12,17 @@ w is a k-anti-power word iff no level-m window (factor of length m*ell,
 
 ``check_k_anti_power`` and ``check_k_anti_power_naive`` implement the same
 contract through disjoint block-equality code: the fast checker compares
-slices on short words and switches to vectorised equality-run tables on
-long ones, while the naive checker compares letters one at a time.  Either
+slices on short words and looks up equality-run tables (``words``) on long
+ones, while the naive checker compares letters one at a time.  Either
 serves as an oracle for the other.  Both report the least violation under
 the ordering (level, block length, window start, first block, second
 block), all components 1-based.
+
+Least-level pair rule: in a violation at the least failing level m the
+equal blocks are always blocks 1 and m.  Proof: if blocks t1 < t2 with
+d = t2 - t1 < m - 1 were equal, the level-(d+1) window starting at block
+t1 would already fail.  So the fast checker compares one pair of blocks
+per window, at distance (m-1)*ell.
 """
 
 from __future__ import annotations
@@ -25,9 +31,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Union
 
-import numpy as np
-
-from .words import Alphabet, as_alphabet
+from .words import Alphabet, _codes, _first_run, as_alphabet
 
 # Words at least this long are scanned through numpy equality-run tables.
 _VECTOR_THRESHOLD = 192
@@ -87,92 +91,57 @@ def is_anti_power_sequence(w: str, k: int) -> bool:
     return len(set(blocks)) == k
 
 
-def _pairs(level: int) -> Iterator[tuple[int, int]]:
-    for t1 in range(1, level):
-        for t2 in range(t1 + 1, level + 1):
-            yield t1, t2
-
-
 def _scan_slices(w: str, k: int) -> Optional[AntiPowerViolation]:
     """Least violation via direct slice comparisons (small words)."""
     n = len(w)
     for level in range(2, k + 1):
         for ell in range(1, n // level + 1):
-            span = level * ell
-            for start in range(n - span + 1):
-                for t1 in range(level - 1):
-                    a = start + t1 * ell
-                    block = w[a : a + ell]
-                    for t2 in range(t1 + 1, level):
-                        b = start + t2 * ell
-                        if block == w[b : b + ell]:
-                            return AntiPowerViolation(
-                                window_start=start + 1,
-                                block_len=ell,
-                                first_block=t1 + 1,
-                                second_block=t2 + 1,
-                                level=level,
-                            )
+            gap = (level - 1) * ell
+            for start in range(n - level * ell + 1):
+                if w[start : start + ell] == w[start + gap : start + gap + ell]:
+                    return AntiPowerViolation(
+                        window_start=start + 1,
+                        block_len=ell,
+                        first_block=1,
+                        second_block=level,
+                        level=level,
+                    )
     return None
 
 
-def _equality_runs(arr: np.ndarray, d: int) -> np.ndarray:
-    """runs[i] = number of consecutive positions j >= i with arr[j] == arr[j+d]."""
-    eq = arr[:-d] == arr[d:]
-    m = eq.size
-    idx = np.arange(m, dtype=np.int64)
-    # next mismatch at or after i, with m as sentinel
-    breaks = np.where(eq, m, idx)
-    next_false = np.minimum.accumulate(breaks[::-1])[::-1]
-    return next_false - idx
-
-
 def _scan_runs(w: str, k: int) -> Optional[AntiPowerViolation]:
-    """Least violation via vectorised equality-run tables (large words).
+    """Least violation via equality-run tables (large words).
 
-    Blocks t1 and t2 of the window at 0-based start i are equal exactly when
-    the equality run at distance (t2-t1)*ell, taken at i + (t1-1)*ell, lasts
-    at least ell positions.
+    Blocks 1 and level of the window at 0-based start i are equal exactly
+    when the equality run at distance (level-1)*ell from i lasts at least
+    ell positions.
     """
-    arr = np.frombuffer(w.encode("utf-32-le"), dtype="<u4")
+    arr = _codes(w)
     n = arr.size
     for level in range(2, k + 1):
         for ell in range(1, n // level + 1):
-            windows = n - level * ell + 1
-            runs_by_gap: dict[int, np.ndarray] = {}
-            bad = np.zeros(windows, dtype=bool)
-            for t1, t2 in _pairs(level):
-                gap = (t2 - t1) * ell
-                runs = runs_by_gap.get(gap)
-                if runs is None:
-                    runs = runs_by_gap[gap] = _equality_runs(arr, gap)
-                off = (t1 - 1) * ell
-                bad |= runs[off : off + windows] >= ell
-            if bad.any():
-                i0 = int(np.argmax(bad))
-                for t1, t2 in _pairs(level):
-                    gap = (t2 - t1) * ell
-                    if runs_by_gap[gap][i0 + (t1 - 1) * ell] >= ell:
-                        v = AntiPowerViolation(
-                            window_start=i0 + 1,
-                            block_len=ell,
-                            first_block=t1,
-                            second_block=t2,
-                            level=level,
-                        )
-                        if not v.verify(w):  # confirm before reporting
-                            raise RuntimeError(f"vector scan produced a bad witness {v}")
-                        return v
-                raise AssertionError("unreachable: flagged window has an equal pair")
+            hit = _first_run(arr, (level - 1) * ell, ell, n - level * ell + 1)
+            if hit is not None:
+                v = AntiPowerViolation(
+                    window_start=hit[0] + 1,
+                    block_len=ell,
+                    first_block=1,
+                    second_block=level,
+                    level=level,
+                )
+                if not v.verify(w):  # confirm before reporting
+                    raise RuntimeError(f"vector scan produced a bad witness {v}")
+                return v
     return None
 
 
 def check_k_anti_power(w: str, k: int) -> Optional[AntiPowerViolation]:
     """Least violation of the k-anti-power property, or None if w is k-anti-power.
 
-    Violations are ordered by (level, block length, window start, first
-    block, second block).  Any reported witness is confirmed by direct
-    letter comparison before being returned.
+    Violations are ordered by (level, block length, window start); by the
+    pair rule the equal blocks are always 1 and level.  A witness from the
+    long-word path is confirmed by direct letter comparison before being
+    returned.
     """
     if k < 2:
         raise ValueError("k must be at least 2")

@@ -5,7 +5,9 @@ verify-prefix, enumerate, count, exponent, find-power.  Every subcommand
 accepts ``--json`` to emit a single machine-readable Report object on
 standard output instead of the human-readable text.  Exit codes are a
 function of the verdict only: 0 = property holds / yes, 1 = fails / no,
-2 = inconclusive, 3 = usage or parse error.
+2 = inconclusive, 3 = usage or parse error.  Exit code 4 means an
+internal error: an unexpected exception (a failed self-check, an
+exhausted memory) that is not a verdict.
 
 JSON reports are byte-stable for identical inputs; the wall-clock
 ``timing_ms`` sibling field is the only exception.
@@ -17,6 +19,7 @@ import argparse
 import json
 import sys
 import time
+import traceback
 from fractions import Fraction
 from typing import Optional
 
@@ -385,6 +388,11 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"apw: error: {exc}", file=sys.stderr)
         return 3
+    except Exception as exc:
+        # A fault in apw itself must not exit 1, which reads as a "no" verdict.
+        traceback.print_exc()
+        print(f"apw: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
     elapsed_ms = round((time.monotonic() - start) * 1000.0, 3)
     if args.json:
         report = {"command": args.command, "verdict": verdict}

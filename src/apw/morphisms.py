@@ -12,13 +12,14 @@ Left-hand sides are single letters; images are non-empty runs of letters.
 Without an ``alphabet:`` header the codomain is inferred from the images,
 in order of first appearance.  Parse errors carry the 1-based line number.
 
-Everything here is pure; Morphism values are treated as immutable.
+Everything here is pure; Morphism values are immutable and hashable.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from types import MappingProxyType
+from typing import Dict, Mapping, Optional
 
 from .words import Alphabet
 
@@ -33,11 +34,15 @@ class MorphismParseError(ValueError):
 
 @dataclass(frozen=True, eq=True)
 class Morphism:
-    """A morphism f: domain* -> codomain*, given by letter images."""
+    """A morphism f: domain* -> codomain*, given by letter images.
+
+    ``images`` is stored as a read-only copy in domain order, so a Morphism
+    cannot change after validation and equal morphisms hash equal.
+    """
 
     domain: Alphabet
     codomain: Alphabet
-    images: Dict[str, str]
+    images: Mapping[str, str]
 
     def __post_init__(self) -> None:
         if set(self.images) != set(self.domain):
@@ -46,6 +51,11 @@ class Morphism:
             for ch in self.images[a]:
                 if ch not in self.codomain:
                     raise ValueError(f"image of {a!r} uses letter {ch!r} outside the codomain")
+        images = MappingProxyType({a: self.images[a] for a in self.domain})
+        object.__setattr__(self, "images", images)
+
+    def __hash__(self) -> int:
+        return hash((self.domain, self.codomain, tuple(self.images.items())))
 
     def image(self, letter: str) -> str:
         try:

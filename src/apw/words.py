@@ -7,15 +7,24 @@ letter and ``factor(w, i, i - 1)`` is empty.  Exponents of repetitions are
 exact ``fractions.Fraction`` values; nothing in this module compares
 through floating point.
 
+The repetition scanners (``find_square``, ``is_k_power_free``,
+``max_exponent``, ``find_power_geq``) are thresholds on one table per
+period p: the equality run at distance p, that is, for each position i
+the number of consecutive positions j >= i with w[j] = w[j+p].  A factor
+starting at i with period p and exponent e exists exactly when that run
+reaches (e - 1) * p.  The anti-power checker reads the same tables.
+
 All operations are pure functions over immutable values, so concurrent
 use needs no locking.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Tuple, Union
+
+import numpy as np
 
 RationalLike = Union[Fraction, int, str]
 
@@ -24,8 +33,10 @@ class Alphabet:
     """An ordered alphabet of distinct single-character letters.
 
     Construct from a string (``Alphabet("abc")``) or any iterable of
-    one-character strings.  Declaration order is significant: it fixes the
-    lexicographic order used by enumeration.
+    one-character strings.  Letters are printable, non-whitespace and not
+    ``#``, which the morphism file format reserves for comments.
+    Declaration order is significant: it fixes the lexicographic order
+    used by enumeration.
     """
 
     __slots__ = ("letters",)
@@ -40,6 +51,8 @@ class Alphabet:
                 raise ValueError(f"letter must be a single character, got {ch!r}")
             if ch.isspace() or not ch.isprintable():
                 raise ValueError(f"letter must be printable and non-whitespace, got {ch!r}")
+            if ch == "#":
+                raise ValueError("'#' cannot be a letter: it starts a comment in morphism files")
             if ch in seen:
                 raise ValueError(f"duplicate letter {ch!r} in alphabet")
             seen.add(ch)
@@ -161,27 +174,62 @@ def primitive_root(w: str) -> Tuple[str, int]:
     raise AssertionError("unreachable: d = |w| always matches")
 
 
+def _codes(w: str) -> np.ndarray:
+    """The code points of w as an array, for the equality-run tables."""
+    return np.frombuffer(w.encode("utf-32-le"), dtype="<u4")
+
+
+def _equality_runs(arr: np.ndarray, p: int) -> np.ndarray:
+    """runs[i] = number of consecutive positions j >= i with arr[j] == arr[j+p]."""
+    eq = arr[:-p] == arr[p:]
+    m = eq.size
+    idx = np.arange(m, dtype=np.int64)
+    # next mismatch at or after i, with m as sentinel
+    breaks = np.where(eq, m, idx)
+    next_false = np.minimum.accumulate(breaks[::-1])[::-1]
+    return next_false - idx
+
+
+def _first_run(arr: np.ndarray, p: int, need: int, limit: int) -> Optional[Tuple[int, int]]:
+    """Least i < limit with runs[i] >= need at distance p, and runs[i]; None if none."""
+    runs = _equality_runs(arr, p)[:limit]
+    hits = np.flatnonzero(runs >= need)
+    if not hits.size:
+        return None
+    i = int(hits[0])
+    return i, int(runs[i])
+
+
+def _first_power(w: str, t: Fraction) -> Optional[FractionalPowerOccurrence]:
+    """find_power_geq without the threshold check: least (start, period) with exponent >= t."""
+    arr = _codes(w)
+    n = arr.size
+    num, den = t.numerator, t.denominator
+    best = None
+    limit = n
+    for p in range(1, n):
+        # exponent (p + run)/p >= num/den  <=>  den*run >= (num - den)*p
+        need = max(1, -(-(num - den) * p // den))
+        if need > n - p or limit == 0:
+            break  # need only grows with p while the room for a run shrinks
+        hit = _first_run(arr, p, need, limit)
+        if hit is not None:
+            limit, run = hit  # a longer period wins only with an earlier start
+            best = FractionalPowerOccurrence(start=limit + 1, period=p, span=p + run)
+    return best
+
+
 def find_square(w: str) -> Optional[FractionalPowerOccurrence]:
     """First square uu in w, smallest start then smallest period; None if square-free."""
-    n = len(w)
-    for i in range(n - 1):
-        for p in range(1, (n - i) // 2 + 1):
-            if w[i : i + p] == w[i + p : i + 2 * p]:
-                return FractionalPowerOccurrence(start=i + 1, period=p, span=2 * p)
-    return None
+    occ = _first_power(w, Fraction(2))
+    return None if occ is None else replace(occ, span=2 * occ.period)
 
 
 def is_k_power_free(w: str, k: int) -> bool:
     """True iff no factor of w is a k-power u^k with u non-empty."""
     if k < 2:
         raise ValueError("k must be at least 2")
-    n = len(w)
-    for p in range(1, n // k + 1):
-        for i in range(n - k * p + 1):
-            # u^k at i with |u| = p means the whole stretch has period p
-            if w[i : i + (k - 1) * p] == w[i + p : i + k * p]:
-                return False
-    return True
+    return _first_power(w, Fraction(k)) is None
 
 
 def max_exponent(w: str) -> Fraction:
@@ -192,21 +240,13 @@ def max_exponent(w: str) -> Fraction:
     """
     if not w:
         raise ValueError("max exponent of the empty word is undefined")
-    n = len(w)
+    arr = _codes(w)
+    n = arr.size
     best = Fraction(1)
     for p in range(1, n):
         if Fraction(n, p) <= best:
             break  # even a repetition spanning all of w cannot beat the best
-        run = 0
-        best_run = 0
-        for i in range(n - p - 1, -1, -1):
-            run = run + 1 if w[i] == w[i + p] else 0
-            if run > best_run:
-                best_run = run
-        if best_run:
-            cand = Fraction(p + best_run, p)
-            if cand > best:
-                best = cand
+        best = max(best, Fraction(p + int(_equality_runs(arr, p).max()), p))
     return best
 
 
@@ -220,14 +260,4 @@ def find_power_geq(w: str, threshold: RationalLike) -> Optional[FractionalPowerO
     t = Fraction(threshold)
     if t <= 1:
         raise ValueError("threshold must exceed 1")
-    n = len(w)
-    num, den = t.numerator, t.denominator
-    for i in range(n):
-        for p in range(1, n - i):
-            run = 0
-            while i + p + run < n and w[i + run] == w[i + p + run]:
-                run += 1
-            # exponent (p + run)/p >= num/den  <=>  den*run >= (num - den)*p
-            if run and den * run >= (num - den) * p:
-                return FractionalPowerOccurrence(start=i + 1, period=p, span=p + run)
-    return None
+    return _first_power(w, t)

@@ -46,6 +46,23 @@ def oracle_max_exponent(w: str) -> Fraction:
     return best
 
 
+def oracle_find_power_geq(w: str, t: Fraction) -> Optional[tuple[int, int, int]]:
+    """(start, period, span) of the least factor with exponent >= t, 1-based.
+
+    Least start first, then least period; the span is the longest factor
+    with that period at that start.  None if every exponent is below t.
+    """
+    n = len(w)
+    for start in range(n):
+        for period in range(1, n - start):
+            span = period
+            while start + span < n and w[start + span] == w[start + span - period]:
+                span += 1
+            if span > period and Fraction(span, period) >= t:
+                return start + 1, period, span
+    return None
+
+
 def oracle_is_k_anti_power(w: str, k: int) -> bool:
     """The recursive definition, followed literally.
 

@@ -18,6 +18,11 @@ from apw import (
 from helpers import all_words, oracle_is_k_anti_power, random_word
 
 
+def assert_least_level_pair(v):
+    # at the least failing level m only blocks 1 and m can be equal
+    assert v is None or (v.first_block, v.second_block) == (1, v.level), v
+
+
 class TestAntiPowerViolation:
     def test_field_validation(self):
         with pytest.raises(ValueError):
@@ -114,13 +119,14 @@ class TestNaiveChecker:
 
 class TestOracleEquivalence:
     def test_exhaustive_small(self):
-        for letters, max_len in (("ab", 9), ("abc", 7)):
+        for letters, max_len in (("ab", 9), ("abc", 9)):
             for w in all_words(letters, max_len):
                 for k in (2, 3, 4, 5):
                     fast = check_k_anti_power(w, k)
                     naive = check_k_anti_power_naive(w, k)
                     assert fast == naive, (w, k)
                     assert (fast is None) == oracle_is_k_anti_power(w, k), (w, k)
+                    assert_least_level_pair(fast)
 
     def test_random_long_words_hit_vector_path(self):
         rng = random.Random(20250814)
@@ -129,6 +135,17 @@ class TestOracleEquivalence:
             w = random_word(rng, letters, rng.randint(150, 260))
             k = rng.choice([2, 3, 4, 5])
             assert check_k_anti_power(w, k) == check_k_anti_power_naive(w, k)
+
+    def test_planted_factors_hit_vector_path(self, planted_factors):
+        levels = set()
+        for w in planted_factors:
+            for k in (2, 3, 4, 5):
+                fast = check_k_anti_power(w, k)
+                assert fast == check_k_anti_power_naive(w, k), (w, k)
+                assert_least_level_pair(fast)
+                if fast is not None:
+                    levels.add(fast.level)
+        assert levels == {2, 3, 4}
 
     def test_dispatch_threshold_straddle(self):
         rng = random.Random(7)

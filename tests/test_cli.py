@@ -369,6 +369,17 @@ class TestParserBehaviour:
         out, _ = capsys.readouterr()
         assert out.strip() == json.dumps(json.loads(out), sort_keys=True)
 
+    @pytest.mark.parametrize("fault", [RuntimeError, AssertionError, MemoryError])
+    def test_internal_fault_exits_4(self, capsys, monkeypatch, fault):
+        def broken(word, k):
+            raise fault("self-check failed")
+
+        monkeypatch.setattr("apw.cli.check_k_anti_power", broken)
+        code, out, err = run(["check-word", "--k", "3", "abcab"], capsys)
+        assert code == 4
+        assert out == ""
+        assert f"apw: internal error: {fault.__name__}: self-check failed" in err
+
 
 class TestEntryPoints:
     def test_python_dash_m(self):

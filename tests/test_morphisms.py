@@ -102,6 +102,22 @@ class TestSerializeAndLoad:
             f = random_uniform_morphism(rng, "abc", "abcd", rng.randint(1, 4))
             assert parse_morphism(serialize_morphism(f)) == f
 
+    @given(st.data())
+    def test_round_trip_any_legal_letters(self, data):
+        letter = st.characters(
+            codec="utf-8", exclude_characters="#"
+        ).filter(lambda ch: ch.isprintable() and not ch.isspace())
+        letters = st.lists(letter, min_size=1, max_size=6, unique=True)
+        domain = data.draw(letters)
+        codomain = data.draw(letters)
+        image = st.text(alphabet=codomain, min_size=1, max_size=8)
+        f = Morphism(
+            Alphabet(domain),
+            Alphabet(codomain),
+            {a: data.draw(image) for a in domain},
+        )
+        assert parse_morphism(serialize_morphism(f)) == f
+
     def test_load_bundled_file(self, h):
         assert h == parse_morphism("alphabet: abced\n" + H_TEXT)
 
@@ -123,6 +139,22 @@ class TestConstruction:
     def test_images_must_stay_in_codomain(self):
         with pytest.raises(ValueError, match="outside the codomain"):
             Morphism(Alphabet("ab"), Alphabet("ab"), {"a": "ab", "b": "ac"})
+
+    def test_comment_letter_rejected(self):
+        # '#' would be read back as a comment, silently dropping letters
+        with pytest.raises(ValueError, match="'#'"):
+            Morphism(Alphabet("a#"), Alphabet("a#"), {"a": "a#", "#": "#a"})
+
+    def test_immutable_and_hashable(self):
+        images = {"a": "ab", "b": "ba"}
+        f = Morphism(Alphabet("ab"), Alphabet("ab"), images)
+        g = Morphism(Alphabet("ab"), Alphabet("ab"), {"b": "ba", "a": "ab"})
+        assert f == g and hash(f) == hash(g)
+        assert len({f, g, parse_morphism("a -> ab\nb -> ba\n")}) == 1
+        with pytest.raises(TypeError):
+            f.images["a"] = "b"
+        images["a"] = "bb"
+        assert f.image("a") == "ab"
 
     def test_uniform_length_absent_cases(self):
         f = Morphism(Alphabet("ab"), Alphabet("ab"), {"a": "ab", "b": "a"})

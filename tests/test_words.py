@@ -19,7 +19,19 @@ from apw import (
     primitive_root,
     validate_word,
 )
-from helpers import all_words, oracle_find_square, oracle_max_exponent, random_word
+from helpers import (
+    all_words,
+    oracle_find_power_geq,
+    oracle_find_square,
+    oracle_max_exponent,
+    random_word,
+)
+
+THRESHOLDS = (Fraction(3, 2), Fraction(7, 4), Fraction(2), Fraction(5, 2), Fraction(3))
+
+
+def occurrence_tuple(occ):
+    return None if occ is None else (occ.start, occ.period, occ.span)
 
 
 class TestAlphabet:
@@ -44,6 +56,8 @@ class TestAlphabet:
             Alphabet("a b")
         with pytest.raises(ValueError):
             Alphabet(["ab"])
+        with pytest.raises(ValueError, match="'#' cannot be a letter"):
+            Alphabet("a#")
 
     def test_equality_and_hash(self):
         assert Alphabet("abc") == Alphabet("abc")
@@ -236,6 +250,13 @@ class TestFindPowerGeq:
             with pytest.raises(ValueError):
                 find_power_geq("abab", bad)
 
+    def test_against_oracle_exhaustive(self):
+        for letters, max_len in (("ab", 10), ("abc", 7)):
+            for w in all_words(letters, max_len):
+                for t in THRESHOLDS:
+                    got = occurrence_tuple(find_power_geq(w, t))
+                    assert got == oracle_find_power_geq(w, t), (w, t)
+
     def test_agrees_with_find_square_at_two(self):
         for letters, max_len in (("ab", 10), ("abc", 7)):
             for w in all_words(letters, max_len):
@@ -254,6 +275,21 @@ class TestFindPowerGeq:
             else:
                 assert occ.verify(w)
                 assert occ.exponent >= threshold
+
+
+class TestLongWords:
+    def test_scanners_against_oracles(self, planted_factors):
+        for w in planted_factors:
+            square = find_square(w)
+            expected = oracle_find_square(w)
+            assert (None if square is None else (square.start, square.period)) == expected, w
+            exponent = oracle_max_exponent(w)
+            assert max_exponent(w) == exponent, w
+            for k in (2, 3):
+                assert is_k_power_free(w, k) == (exponent < k), (w, k)
+            for t in (Fraction(4, 3), Fraction(3, 2), Fraction(2)):
+                got = occurrence_tuple(find_power_geq(w, t))
+                assert got == oracle_find_power_geq(w, t), (w, t)
 
 
 class TestFractionalPowerOccurrence:
