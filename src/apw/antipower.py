@@ -12,8 +12,8 @@ w is a k-anti-power word iff no level-m window (factor of length m*ell,
 
 ``check_k_anti_power`` and ``check_k_anti_power_naive`` implement the same
 contract through disjoint block-equality code: the fast checker compares
-slices on short words and looks up equality-run tables (``words``) on long
-ones, while the naive checker compares letters one at a time.  Either
+slices on short words and queries the factor-name index of ``words`` on
+long ones, while the naive checker compares letters one at a time.  Either
 serves as an oracle for the other.  Both report the least violation under
 the ordering (level, block length, window start, first block, second
 block), all components 1-based.
@@ -31,10 +31,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Union
 
-from .words import Alphabet, _codes, _first_run, as_alphabet
-
-# Words at least this long are scanned through numpy equality-run tables.
-_VECTOR_THRESHOLD = 192
+from .words import _VECTOR_THRESHOLD, Alphabet, _names, _sampled_runs, as_alphabet
 
 
 @dataclass(frozen=True)
@@ -110,28 +107,32 @@ def _scan_slices(w: str, k: int) -> Optional[AntiPowerViolation]:
 
 
 def _scan_runs(w: str, k: int) -> Optional[AntiPowerViolation]:
-    """Least violation via equality-run tables (large words).
+    """Least violation via the factor-name index (large words).
 
     Blocks 1 and level of the window at 0-based start i are equal exactly
     when the equality run at distance (level-1)*ell from i lasts at least
-    ell positions.
+    ell positions, so each level is one sampled-run search over the pairs
+    ((level-1)*ell, ell) in ell order; its first hit is the least violation.
     """
-    arr = _codes(w)
-    n = arr.size
+    n = len(w)
+    names = _names(w)
     for level in range(2, k + 1):
-        for ell in range(1, n // level + 1):
-            hit = _first_run(arr, (level - 1) * ell, ell, n - level * ell + 1)
-            if hit is not None:
-                v = AntiPowerViolation(
-                    window_start=hit[0] + 1,
-                    block_len=ell,
-                    first_block=1,
-                    second_block=level,
-                    level=level,
-                )
-                if not v.verify(w):  # confirm before reporting
-                    raise RuntimeError(f"vector scan produced a bad witness {v}")
-                return v
+
+        def pairs(ids, level=level):
+            ell = ids + 1
+            return (level - 1) * ell, ell, n - (level - 1) * ell
+
+        for _, ell, _, start in _sampled_runs(names, n // level, pairs):
+            v = AntiPowerViolation(
+                window_start=int(start[0]) + 1,
+                block_len=int(ell[0]),
+                first_block=1,
+                second_block=level,
+                level=level,
+            )
+            if not v.verify(w):  # confirm before reporting
+                raise RuntimeError(f"name-index scan produced a bad witness {v}")
+            return v
     return None
 
 

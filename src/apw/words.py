@@ -7,12 +7,39 @@ letter and ``factor(w, i, i - 1)`` is empty.  Exponents of repetitions are
 exact ``fractions.Fraction`` values; nothing in this module compares
 through floating point.
 
-The repetition scanners (``find_square``, ``is_k_power_free``,
-``max_exponent``, ``find_power_geq``) are thresholds on one table per
-period p: the equality run at distance p, that is, for each position i
-the number of consecutive positions j >= i with w[j] = w[j+p].  A factor
-starting at i with period p and exponent e exists exactly when that run
-reaches (e - 1) * p.  The anti-power checker reads the same tables.
+Repetition scans.  The scanners (``find_square``, ``is_k_power_free``,
+``max_exponent``, ``find_power_geq``) and the anti-power checker all ask
+one question: is there an equality run of ``need`` letters at distance p,
+positions i .. i+need-1 with w[j] == w[j+p]?  A factor starting at i with
+period p and exponent e exists exactly when the run from i reaches
+(e - 1) * p.  Words shorter than ``_VECTOR_THRESHOLD`` answer it by
+comparing slices.  Longer words use two pieces:
+
+* The factor-name index (Karp, Miller and Rosenberg, 1972):
+  ``names[j, i]`` names the factor w[i:i+2**j], so equal names mean equal
+  factors.  It is built by one round of ranking pairs of names per row,
+  floor(log2 n) + 1 rows, and answers capped longest-common-extension
+  queries, forward and backward, by binary lifting, vectorised over a
+  batch of queries.
+* The sampled-run search over a stream of (p, need) pairs.  A run of at
+  least need letters covers a multiple of need, so only those positions q
+  are sampled.  A sample hits when its backward extension, capped at
+  need - 1, plus its forward one, capped at need, reaches need.  The first
+  hit of a pair gives that pair's least run start exactly, as q minus the
+  backward extension.  Proof: the least start s opens the first run of at
+  least need letters; the multiple q of need in [s, s + need) lies in that
+  run and hits with backward extension q - s < need, while every earlier
+  sample sees only shorter runs and misses.
+
+A scan for exponent >= t thus costs O(n log^2 n / (t - 1)), and the
+k-anti-power check O(k n log^2 n), against O(n^2) for a run table per
+period.  Memory: the index
+is one (floor(log2 n) + 1) x (n + 1) table in the smallest unsigned type
+that holds n (two bytes an entry up to 65,535 letters), built on each call
+and never cached, and the stream is cut into chunks of ``_CHUNK`` samples,
+so the search holds a few arrays of that length at a time.  Every result
+of this path is confirmed by direct letter comparison before it is
+returned; a mismatch raises RuntimeError.
 
 All operations are pure functions over immutable values, so concurrent
 use needs no locking.
@@ -22,11 +49,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional, Tuple, Union
+from typing import Callable, Iterable, Iterator, Optional, Tuple, Union
 
 import numpy as np
 
 RationalLike = Union[Fraction, int, str]
+# pair ids -> (distance p, need, sample stop) arrays; see ``_samples``
+Pairs = Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray, np.ndarray]]
 
 
 class Alphabet:
@@ -174,49 +203,166 @@ def primitive_root(w: str) -> Tuple[str, int]:
     raise AssertionError("unreachable: d = |w| always matches")
 
 
-def _codes(w: str) -> np.ndarray:
-    """The code points of w as an array, for the equality-run tables."""
-    return np.frombuffer(w.encode("utf-32-le"), dtype="<u4")
+# Words at least this long take the name-index path of every repetition scan,
+# here and in ``antipower``; shorter words compare slices.
+_VECTOR_THRESHOLD = 192
+# Samples per vectorised batch of the sampled-run search.  It bounds the
+# search's working memory, and how far it runs past the hit that ends it.
+_CHUNK = 4096
 
 
-def _equality_runs(arr: np.ndarray, p: int) -> np.ndarray:
-    """runs[i] = number of consecutive positions j >= i with arr[j] == arr[j+p]."""
-    eq = arr[:-p] == arr[p:]
-    m = eq.size
-    idx = np.arange(m, dtype=np.int64)
-    # next mismatch at or after i, with m as sentinel
-    breaks = np.where(eq, m, idx)
-    next_false = np.minimum.accumulate(breaks[::-1])[::-1]
-    return next_false - idx
+def _rank(key: np.ndarray, out: np.ndarray) -> None:
+    """Write into ``out`` the dense rank of each key: equal keys get equal ranks."""
+    order = np.argsort(key)
+    ordered = key[order]
+    out[order[:1]] = 0
+    out[order[1:]] = np.cumsum(ordered[1:] != ordered[:-1])
 
 
-def _first_run(arr: np.ndarray, p: int, need: int, limit: int) -> Optional[Tuple[int, int]]:
-    """Least i < limit with runs[i] >= need at distance p, and runs[i]; None if none."""
-    runs = _equality_runs(arr, p)[:limit]
-    hits = np.flatnonzero(runs >= need)
-    if not hits.size:
-        return None
-    i = int(hits[0])
-    return i, int(runs[i])
+def _names(w: str) -> np.ndarray:
+    """The factor-name index of w, one row per power-of-two length.
+
+    ``names[j, i] == names[j, i2]`` exactly when ``w[i:i+2**j]`` and
+    ``w[i2:i2+2**j]`` are equal, for i, i2 <= len(w) - 2**j.  Row j ranks the
+    pairs of row j-1 names at i and i + 2**(j-1).  The rest of each row and
+    the extra column len(w) are padding, read by capped queries but never
+    counted.
+    """
+    codes = np.frombuffer(w.encode("utf-32-le"), dtype="<u4")
+    n = codes.size
+    names = np.zeros((n.bit_length(), n + 1), dtype=np.min_scalar_type(n))
+    if n:
+        _rank(codes.astype(np.int64), names[0, :n])
+    for j in range(1, names.shape[0]):
+        half, m = 1 << (j - 1), n - (1 << j) + 1
+        prev = names[j - 1]
+        _rank(prev[:m] * np.int64(n + 1) + prev[half : half + m], names[j, :m])
+    return names
+
+
+def _lce(
+    names: np.ndarray, x: np.ndarray, y: np.ndarray, cap: np.ndarray, backward: bool = False
+) -> np.ndarray:
+    """Capped longest common extensions by binary lifting, one per query.
+
+    Forward: the largest L <= cap with w[x:x+L] == w[y:y+L]; backward: with
+    w[x-L:x] == w[y-L:y].  Each cap must keep the compared factors inside w.
+    """
+    ext = np.zeros_like(cap)
+    for j in reversed(range(int(cap.max(initial=0)).bit_length())):
+        size = 1 << j
+        row = names[j]
+        if backward:
+            same = row[x - ext - size] == row[y - ext - size]
+        else:
+            same = row[x + ext] == row[y + ext]
+        ext += size * (same & (ext + size <= cap))
+    return ext
+
+
+def _samples(n: int, count: int, pairs: Pairs) -> Iterator[Tuple[np.ndarray, ...]]:
+    """The samples of pairs 0..count-1, in chunks of at most ``_CHUNK``.
+
+    ``pairs(ids)`` gives the arrays (p, need, stop) of those pair ids; the
+    samples of a pair are the multiples q of need with q < stop.  It is
+    called again for every chunk, so need and stop may follow the hits seen
+    so far, except that a pair already begun keeps its need.  Yields
+    (p, need, q), one entry per sample, by pair and then by q.
+    """
+    first, done, kept = 0, 0, 0  # next pair, its samples already yielded, its need
+    while first < count:
+        ids = np.arange(first, min(count, first + _CHUNK))
+        p, need, stop = pairs(ids)
+        if done:
+            need[0] = kept
+        left = (stop + need - 1) // need
+        left[0] = max(int(left[0]) - done, 0)
+        ends = np.cumsum(left)
+        m = min(np.count_nonzero(ends < _CHUNK) + 1, ids.size)  # pairs this chunk reaches
+        take = left[:m].copy()
+        over = int(ends[m - 1]) - _CHUNK
+        if over > 0:
+            take[-1] -= over
+        pair = np.repeat(np.arange(m), take)
+        j = np.arange(pair.size) - (np.cumsum(take) - take)[pair]
+        j[: take[0]] += done
+        if pair.size:
+            yield p[pair], need[pair], j * need[pair]
+        if over > 0:
+            done = int(take[-1]) + (done if m == 1 else 0)
+            first, kept = first + m - 1, int(need[m - 1])
+        else:
+            first, done = first + m, 0
+
+
+def _sampled_runs(names: np.ndarray, count: int, pairs: Pairs) -> Iterator[Tuple[np.ndarray, ...]]:
+    """Search the samples of ``pairs`` for equality runs of ``need`` letters.
+
+    A sample q of the pair (p, need) hits when the run of positions i with
+    w[i] == w[i+p] through q has at least need of them, measured as a
+    forward extension capped at need plus a backward one capped at need - 1.
+    Yields (p, need, q, start) for the hits of each chunk that has any, in
+    stream order, where start = q - backward extension.
+    """
+    n = names.shape[1] - 1
+    for p, need, q in _samples(n, count, pairs):
+        live = np.flatnonzero(names[0, q] == names[0, q + p])
+        p, need, q = p[live], need[live], q[live]
+        fwd = _lce(names, q, q + p, np.minimum(need, n - q - p))
+        bwd = _lce(names, q, q + p, np.minimum(need - 1, q), backward=True)
+        hit = np.flatnonzero(bwd + fwd >= need)
+        if hit.size:
+            yield p[hit], need[hit], q[hit], q[hit] - bwd[hit]
+
+
+def _checked(w: str, occ: FractionalPowerOccurrence) -> FractionalPowerOccurrence:
+    """occ, after direct letter comparison confirms it (a long-path self-check)."""
+    if not occ.verify(w):
+        raise RuntimeError(f"name-index scan produced a bad repetition {occ}")
+    return occ
 
 
 def _first_power(w: str, t: Fraction) -> Optional[FractionalPowerOccurrence]:
     """find_power_geq without the threshold check: least (start, period) with exponent >= t."""
-    arr = _codes(w)
-    n = arr.size
-    num, den = t.numerator, t.denominator
-    best = None
-    limit = n
-    for p in range(1, n):
-        # exponent (p + run)/p >= num/den  <=>  den*run >= (num - den)*p
-        need = max(1, -(-(num - den) * p // den))
-        if need > n - p or limit == 0:
-            break  # need only grows with p while the room for a run shrinks
-        hit = _first_run(arr, p, need, limit)
-        if hit is not None:
-            limit, run = hit  # a longer period wins only with an earlier start
-            best = FractionalPowerOccurrence(start=limit + 1, period=p, span=p + run)
-    return best
+    n = len(w)
+    # exponent (p + run)/p >= t  <=>  den*run >= num*p
+    num, den = t.numerator - t.denominator, t.denominator
+    if n < _VECTOR_THRESHOLD:
+        needs = [-(-num * p // den) for p in range(n)]
+        for i in range(n):
+            j = w.find(w[i], i + 1)  # periods p = j - i where the first letters agree
+            while j > 0:
+                need = needs[j - i]
+                if j + need > n:
+                    break  # p + need only grows with p
+                if w[i : i + need] == w[j : j + need]:
+                    run = need
+                    while j + run < n and w[i + run] == w[j + run]:
+                        run += 1
+                    return FractionalPowerOccurrence(start=i + 1, period=j - i, span=j - i + run)
+                j = w.find(w[i], j + 1)
+        return None
+    names = _names(w)
+    exact = max(num, den) * n < 2**62  # else need in Python integers
+    limit, period = n, 0  # least start so far; only an earlier one can win
+
+    def pairs(ids):
+        p = ids + 1
+        need = -(-num * (p if exact else p.astype(object)) // den)
+        need = np.minimum(need, n).astype(np.int64)
+        stop = np.minimum(n - p, limit + need - 1)  # no start before limit otherwise
+        return p, need, np.where(need <= n - p, stop, 0)
+
+    for p, need, q, start in _sampled_runs(names, n - 1, pairs):
+        i = int(np.argmin(start))  # the least start, and the least period among ties
+        if start[i] < limit:
+            limit, period = int(start[i]), int(p[i])
+            if limit == 0:
+                break
+    if not period:
+        return None
+    run = _lce(names, np.array([limit]), np.array([limit + period]), np.array([n - limit - period]))
+    return _checked(w, FractionalPowerOccurrence(start=limit + 1, period=period, span=period + int(run[0])))
 
 
 def find_square(w: str) -> Optional[FractionalPowerOccurrence]:
@@ -240,14 +386,45 @@ def max_exponent(w: str) -> Fraction:
     """
     if not w:
         raise ValueError("max exponent of the empty word is undefined")
-    arr = _codes(w)
-    n = arr.size
-    best = Fraction(1)
-    for p in range(1, n):
-        if Fraction(n, p) <= best:
-            break  # even a repetition spanning all of w cannot beat the best
-        best = max(best, Fraction(p + int(_equality_runs(arr, p).max()), p))
-    return best
+    n = len(w)
+    top, bottom = 1, 1  # the best exponent so far, top/bottom
+    # a run of `need` letters at distance p beats it: (p + run)/p > top/bottom
+    if n < _VECTOR_THRESHOLD:
+        for p in range(1, n):
+            i = 0
+            while True:
+                need = (top - bottom) * p // bottom + 1
+                if i + p + need > n:
+                    break
+                if w[i : i + need] == w[i + p : i + p + need]:
+                    run = need
+                    while i + p + run < n and w[i + run] == w[i + p + run]:
+                        run += 1
+                    top, bottom = p + run, p
+                    i += run
+                else:
+                    i += 1
+        return Fraction(top, bottom)
+    names = _names(w)
+    witness = None
+
+    def pairs(ids):
+        p = ids + 1
+        need = (top - bottom) * p // bottom + 1
+        return p, need, np.where(need <= n - p, n - p, 0)
+
+    for p, _, q, _ in _sampled_runs(names, n - 1, pairs):
+        # the whole run through each hit, uncapped
+        back = _lce(names, q, q + p, q, backward=True)
+        run = back + _lce(names, q, q + p, n - q - p)
+        for i in np.flatnonzero(run * bottom > (top - bottom) * p).tolist():
+            period, length = int(p[i]), int(run[i])
+            if length * bottom > (top - bottom) * period:
+                top, bottom = period + length, period
+                witness = FractionalPowerOccurrence(start=int(q[i] - back[i]) + 1, period=period, span=top)
+    if witness is not None:
+        _checked(w, witness)
+    return Fraction(top, bottom)
 
 
 def find_power_geq(w: str, threshold: RationalLike) -> Optional[FractionalPowerOccurrence]:

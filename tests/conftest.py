@@ -6,7 +6,7 @@ import pytest
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent))
 
-from apw import Morphism, fixed_point_prefix, load_morphism, parse_morphism
+from apw import Morphism, antipower, fixed_point_prefix, load_morphism, parse_morphism, words
 
 DATA_DIR = pathlib.Path(__file__).resolve().parent.parent / "data"
 
@@ -64,3 +64,25 @@ def planted_factors(h) -> list[str]:
             w = w[:b] + w[a : a + ell] + w[b + ell :]
         words.append(w)
     return words
+
+
+@pytest.fixture
+def index_path(monkeypatch):
+    """Send every word, however short, down the name-index path in 5-sample chunks.
+
+    Tiny chunks make even small words span several chunks and split one
+    pair's samples between chunks.
+    """
+    monkeypatch.setattr(words, "_VECTOR_THRESHOLD", 0)
+    monkeypatch.setattr(antipower, "_VECTOR_THRESHOLD", 0)
+    monkeypatch.setattr(words, "_CHUNK", 5)
+
+
+@pytest.fixture
+def lying_index(monkeypatch):
+    """A name index whose extensions claim every capped match in full."""
+
+    def lie(names, x, y, cap, backward=False):
+        return cap.copy()
+
+    monkeypatch.setattr(words, "_lce", lie)

@@ -63,6 +63,23 @@ def oracle_find_power_geq(w: str, t: Fraction) -> Optional[tuple[int, int, int]]
     return None
 
 
+def oracle_extension(w: str, x: int, y: int, cap: int, backward: bool = False) -> int:
+    """Largest L <= cap with w[x:x+L] == w[y:y+L], letter by letter.
+
+    Backward: the largest L <= cap with w[x-L:x] == w[y-L:y].
+    """
+    length = 0
+    while length < cap:
+        if backward:
+            same = w[x - length - 1] == w[y - length - 1]
+        else:
+            same = w[x + length] == w[y + length]
+        if not same:
+            break
+        length += 1
+    return length
+
+
 def oracle_is_k_anti_power(w: str, k: int) -> bool:
     """The recursive definition, followed literally.
 

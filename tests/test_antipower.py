@@ -13,6 +13,7 @@ from apw import (
     count_anti_power_sequences,
     enumerate_k_anti_power,
     find_square,
+    fixed_point_prefix,
     is_anti_power_sequence,
 )
 from helpers import all_words, oracle_is_k_anti_power, random_word
@@ -128,6 +129,9 @@ class TestOracleEquivalence:
                     assert (fast is None) == oracle_is_k_anti_power(w, k), (w, k)
                     assert_least_level_pair(fast)
 
+    def test_exhaustive_small_index_path(self, index_path):
+        self.test_exhaustive_small()
+
     def test_random_long_words_hit_vector_path(self):
         rng = random.Random(20250814)
         for _ in range(60):
@@ -146,6 +150,12 @@ class TestOracleEquivalence:
                 if fast is not None:
                     levels.add(fast.level)
         assert levels == {2, 3, 4}
+
+    def test_long_path_witness_is_verified(self, h, lying_index):
+        w = fixed_point_prefix(h, "a", 2401)
+        for k in (2, 3, 4):
+            with pytest.raises(RuntimeError, match="bad witness"):
+                check_k_anti_power(w, k)
 
     def test_dispatch_threshold_straddle(self):
         rng = random.Random(7)

@@ -2,16 +2,19 @@
 
 import io
 import json
+import os
 import shutil
 import subprocess
 import sys
 
 import pytest
 
+from apw import fixed_point_prefix
 from apw.cli import main
 from conftest import DATA_DIR, H_PREFIX_84
 
 H_MOR = str(DATA_DIR / "h.mor")
+SRC_DIR = DATA_DIR.parent / "src"
 
 
 def run(argv, capsys):
@@ -381,12 +384,23 @@ class TestParserBehaviour:
         assert f"apw: internal error: {fault.__name__}: self-check failed" in err
 
 
+    def test_failed_long_path_self_check_exits_4(self, capsys, h, lying_index):
+        word = fixed_point_prefix(h, "a", 2401)
+        code, out, err = run(["exponent", word], capsys)
+        assert code == 4
+        assert out == ""
+        assert "apw: internal error: RuntimeError: name-index scan produced a bad repetition" in err
+
+
 class TestEntryPoints:
     def test_python_dash_m(self):
+        # the child finds apw where this process did, installed or not
+        path = os.pathsep.join(filter(None, [str(SRC_DIR), os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "apw", "exponent", "anchorman"],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": path},
         )
         assert proc.returncode == 0
         assert proc.stdout == "9/7\n"

@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -13,14 +14,17 @@ from apw import (
     factor,
     find_power_geq,
     find_square,
+    fixed_point_prefix,
     is_k_power_free,
     is_primitive,
     max_exponent,
     primitive_root,
     validate_word,
 )
+from apw.words import _lce, _names
 from helpers import (
     all_words,
+    oracle_extension,
     oracle_find_power_geq,
     oracle_find_square,
     oracle_max_exponent,
@@ -158,6 +162,9 @@ class TestFindSquare:
                     assert (got.start, got.period) == expected, w
                     assert got.span == 2 * got.period
 
+    def test_against_oracle_exhaustive_index_path(self, index_path):
+        self.test_against_oracle_exhaustive()
+
     def test_against_oracle_random(self):
         rng = random.Random(41)
         for _ in range(200):
@@ -216,6 +223,9 @@ class TestMaxExponent:
                     continue
                 assert max_exponent(w) == oracle_max_exponent(w), w
 
+    def test_against_oracle_exhaustive_index_path(self, index_path):
+        self.test_against_oracle_exhaustive()
+
     def test_against_oracle_random(self):
         rng = random.Random(43)
         for _ in range(150):
@@ -257,6 +267,9 @@ class TestFindPowerGeq:
                     got = occurrence_tuple(find_power_geq(w, t))
                     assert got == oracle_find_power_geq(w, t), (w, t)
 
+    def test_against_oracle_exhaustive_index_path(self, index_path):
+        self.test_against_oracle_exhaustive()
+
     def test_agrees_with_find_square_at_two(self):
         for letters, max_len in (("ab", 10), ("abc", 7)):
             for w in all_words(letters, max_len):
@@ -290,6 +303,43 @@ class TestLongWords:
             for t in (Fraction(4, 3), Fraction(3, 2), Fraction(2)):
                 got = occurrence_tuple(find_power_geq(w, t))
                 assert got == oracle_find_power_geq(w, t), (w, t)
+
+    def test_extreme_thresholds(self, planted_factors):
+        # terms too large for 64-bit products take exact Python integers
+        t = Fraction(3 * 10**20 + 1, 2 * 10**20)
+        for w in planted_factors[:8]:
+            assert occurrence_tuple(find_power_geq(w, t)) == oracle_find_power_geq(w, t), w
+        # the exponent of a factor is at most its length
+        assert occurrence_tuple(find_power_geq("a" * 200, 200)) == (1, 1, 200)
+        assert find_power_geq("a" * 200, Fraction(2001, 10)) is None
+
+
+class TestNameIndex:
+    @given(st.text(alphabet="ab", min_size=1, max_size=70), st.data())
+    def test_extensions_match_letter_loop(self, w, data):
+        n = len(w)
+        names = _names(w)
+        pos = st.integers(min_value=0, max_value=n)
+        queries = data.draw(st.lists(st.tuples(pos, pos, pos), min_size=1, max_size=12))
+        for backward in (False, True):
+            x, y, cap = (np.array(c) for c in zip(*queries))
+            # keep every compared factor inside w
+            room = np.minimum(x, y) if backward else n - np.maximum(x, y)
+            cap = np.minimum(cap, room)
+            expected = [oracle_extension(w, *q, backward) for q in zip(x.tolist(), y.tolist(), cap.tolist())]
+            assert _lce(names, x, y, cap, backward).tolist() == expected
+
+    def test_long_path_results_are_verified(self, h, lying_index):
+        w = fixed_point_prefix(h, "a", 2401)
+        scans = (
+            find_square,
+            max_exponent,
+            lambda w: find_power_geq(w, Fraction(3, 2)),
+            lambda w: is_k_power_free(w, 3),
+        )
+        for scan in scans:
+            with pytest.raises(RuntimeError, match="bad repetition"):
+                scan(w)
 
 
 class TestFractionalPowerOccurrence:
