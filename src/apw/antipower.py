@@ -34,7 +34,7 @@ from typing import Iterable, Iterator, Optional, Union
 from .words import _VECTOR_THRESHOLD, Alphabet, _names, _sampled_runs, as_alphabet
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AntiPowerViolation:
     """Two equal blocks inside one window of an anti-power scan.
 

@@ -16,11 +16,12 @@ period p and exponent e exists exactly when the run from i reaches
 comparing slices.  Longer words use two pieces:
 
 * The factor-name index (Karp, Miller and Rosenberg, 1972):
-  ``names[j, i]`` names the factor w[i:i+2**j], so equal names mean equal
-  factors.  It is built by one round of ranking pairs of names per row,
-  floor(log2 n) + 1 rows, and answers capped longest-common-extension
-  queries, forward and backward, by binary lifting, vectorised over a
-  batch of queries.
+  ``names[r, i]`` names the factor w[i:i+4**r], so equal names mean equal
+  factors.  Round j of the build names the factors of length 2**j by
+  ranking pairs of round j-1 names by sorting, floor(log2 n) + 1 rounds in
+  all; the table keeps the even rounds.  It answers capped
+  longest-common-extension queries, forward and backward, by lifting in
+  base 4 (up to three steps per row), vectorised over a batch of queries.
 * The sampled-run search over a stream of (p, need) pairs.  A run of at
   least need letters covers a multiple of need, so only those positions q
   are sampled.  A sample hits when its backward extension, capped at
@@ -33,13 +34,14 @@ comparing slices.  Longer words use two pieces:
 
 A scan for exponent >= t thus costs O(n log^2 n / (t - 1)), and the
 k-anti-power check O(k n log^2 n), against O(n^2) for a run table per
-period.  Memory: the index
-is one (floor(log2 n) + 1) x (n + 1) table in the smallest unsigned type
-that holds n (two bytes an entry up to 65,535 letters), built on each call
-and never cached, and the stream is cut into chunks of ``_CHUNK`` samples,
-so the search holds a few arrays of that length at a time.  Every result
-of this path is confirmed by direct letter comparison before it is
-returned; a mismatch raises RuntimeError.
+period.  Memory: the index is one (floor(log2 n) // 2 + 1) x (n + 1)
+table in the smallest unsigned type that holds n (two bytes an entry up
+to 65,535 letters), built on each call and never cached; keeping every
+other round halves it at the cost of more lifting steps.  The stream is
+cut into chunks of ``_CHUNK`` samples, and the search holds little more
+than one chunk's arrays at a time.  Every result of this path is
+confirmed by direct letter comparison before it is returned; a mismatch
+raises RuntimeError.
 
 All operations are pure functions over immutable values, so concurrent
 use needs no locking.
@@ -131,7 +133,7 @@ def validate_word(w: str, alphabet: Optional[Alphabet] = None) -> str:
     return w
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FractionalPowerOccurrence:
     """A repetition ``w[start .. start+span-1]`` with period ``period``.
 
@@ -211,52 +213,59 @@ _VECTOR_THRESHOLD = 192
 _CHUNK = 4096
 
 
-def _rank(key: np.ndarray, out: np.ndarray) -> None:
-    """Write into ``out`` the dense rank of each key: equal keys get equal ranks."""
-    order = np.argsort(key)
-    ordered = key[order]
-    out[order[:1]] = 0
-    out[order[1:]] = np.cumsum(ordered[1:] != ordered[:-1])
-
-
 def _names(w: str) -> np.ndarray:
-    """The factor-name index of w, one row per power-of-two length.
+    """The factor-name index of w, one row per power-of-four length.
 
-    ``names[j, i] == names[j, i2]`` exactly when ``w[i:i+2**j]`` and
-    ``w[i2:i2+2**j]`` are equal, for i, i2 <= len(w) - 2**j.  Row j ranks the
-    pairs of row j-1 names at i and i + 2**(j-1).  The rest of each row and
-    the extra column len(w) are padding, read by capped queries but never
-    counted.
+    ``names[r, i] == names[r, i2]`` exactly when ``w[i:i+4**r]`` and
+    ``w[i2:i2+4**r]`` are equal, for i, i2 <= len(w) - 4**r.  Names of
+    length 2**j rank the letters (j = 0) or the pairs of length-2**(j-1)
+    names at i and i + 2**(j-1); the odd rounds are dropped once used.
+    The rest of each row and the extra column len(w) are padding, read by
+    capped queries but never counted.
     """
     codes = np.frombuffer(w.encode("utf-32-le"), dtype="<u4")
     n = codes.size
-    names = np.zeros((n.bit_length(), n + 1), dtype=np.min_scalar_type(n))
-    if n:
-        _rank(codes.astype(np.int64), names[0, :n])
-    for j in range(1, names.shape[0]):
-        half, m = 1 << (j - 1), n - (1 << j) + 1
-        prev = names[j - 1]
-        _rank(prev[:m] * np.int64(n + 1) + prev[half : half + m], names[j, :m])
+    names = np.zeros(((n.bit_length() + 1) // 2, n + 1), dtype=np.min_scalar_type(n))
+    # pair keys below (n + 1)**2; unsigned 32 bits while names fit in 16
+    wide = np.promote_types(np.min_scalar_type((n + 1) ** 2), np.uint32)
+    for j in range(n.bit_length()):
+        if j:
+            half, m = 1 << (j - 1), n - (1 << j) + 1
+            key = row[:m].astype(wide)
+            key *= n + 1
+            key += row[half : half + m]
+        else:
+            m, key = n, codes.astype(wide)
+        # dense ranks: sort, then count the changes of key along the order
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        row = names[j // 2] if j % 2 == 0 else np.zeros(n + 1, names.dtype)
+        row[order[1:]] = np.cumsum(key[1:] != key[:-1], dtype=names.dtype)
+        del key, order  # only the table and the last round outlive a round
     return names
 
 
 def _lce(
     names: np.ndarray, x: np.ndarray, y: np.ndarray, cap: np.ndarray, backward: bool = False
 ) -> np.ndarray:
-    """Capped longest common extensions by binary lifting, one per query.
+    """Capped longest common extensions by lifting in base 4, one per query.
 
     Forward: the largest L <= cap with w[x:x+L] == w[y:y+L]; backward: with
     w[x-L:x] == w[y-L:y].  Each cap must keep the compared factors inside w.
     """
     ext = np.zeros_like(cap)
-    for j in reversed(range(int(cap.max(initial=0)).bit_length())):
-        size = 1 << j
-        row = names[j]
-        if backward:
-            same = row[x - ext - size] == row[y - ext - size]
-        else:
-            same = row[x + ext] == row[y + ext]
-        ext += size * (same & (ext + size <= cap))
+    for r in reversed(range((int(cap.max(initial=0)).bit_length() + 1) // 2)):
+        size = 1 << (2 * r)
+        row = names[r]
+        for _ in range(3):  # the base-4 digit of the answer
+            if backward:
+                same = row[x - ext - size] == row[y - ext - size]
+            else:
+                same = row[x + ext] == row[y + ext]
+            step = same & (ext + size <= cap)
+            if not step.any():
+                break
+            ext += size * step
     return ext
 
 
@@ -271,28 +280,28 @@ def _samples(n: int, count: int, pairs: Pairs) -> Iterator[Tuple[np.ndarray, ...
     """
     first, done, kept = 0, 0, 0  # next pair, its samples already yielded, its need
     while first < count:
-        ids = np.arange(first, min(count, first + _CHUNK))
-        p, need, stop = pairs(ids)
+        p, need, stop = pairs(np.arange(first, min(count, first + _CHUNK)))
         if done:
             need[0] = kept
         left = (stop + need - 1) // need
         left[0] = max(int(left[0]) - done, 0)
         ends = np.cumsum(left)
-        m = min(np.count_nonzero(ends < _CHUNK) + 1, ids.size)  # pairs this chunk reaches
-        take = left[:m].copy()
-        over = int(ends[m - 1]) - _CHUNK
-        if over > 0:
-            take[-1] -= over
-        pair = np.repeat(np.arange(m), take)
-        j = np.arange(pair.size) - (np.cumsum(take) - take)[pair]
-        j[: take[0]] += done
-        if pair.size:
-            yield p[pair], need[pair], j * need[pair]
-        if over > 0:
-            done = int(take[-1]) + (done if m == 1 else 0)
-            first, kept = first + m - 1, int(need[m - 1])
+        m = min(np.count_nonzero(ends < _CHUNK) + 1, ends.size)  # pairs this chunk reaches
+        starts = ends[:m] - left[:m]
+        over = max(int(ends[m - 1]) - _CHUNK, 0)
+        left[m - 1] -= over
+        pair = np.repeat(np.arange(m), left[:m])
+        q = np.arange(pair.size) - starts[pair]
+        q[: left[0]] += done
+        p, need = p[pair], need[pair]
+        q *= need
+        if over:
+            first, done, kept = first + m - 1, int(left[m - 1]) + (done if m == 1 else 0), int(need[-1])
         else:
             first, done = first + m, 0
+        del stop, left, ends, starts, pair  # hold only the chunk while the caller works
+        if q.size:
+            yield p, need, q
 
 
 def _sampled_runs(names: np.ndarray, count: int, pairs: Pairs) -> Iterator[Tuple[np.ndarray, ...]]:
