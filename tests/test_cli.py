@@ -383,7 +383,6 @@ class TestParserBehaviour:
         assert out == ""
         assert f"apw: internal error: {fault.__name__}: self-check failed" in err
 
-
     def test_failed_long_path_self_check_exits_4(self, capsys, h, lying_index):
         word = fixed_point_prefix(h, "a", 2401)
         code, out, err = run(["exponent", word], capsys)
